@@ -133,6 +133,10 @@ func Anneal(ctx context.Context, p *Problem, cfg AnnealConfig) (Schedule, bool) 
 			rsp.End()
 			continue
 		}
+		// spare holds the buffers of the last discarded schedule; each
+		// candidate is decoded into it, and an accepted one trades places
+		// with cur.
+		var spare Schedule
 		temp := cfg.InitialTempFactor * float64(cur.Makespan+1)
 		cooling := math.Pow(0.001/math.Max(temp, 1e-9), 1/float64(cfg.Iterations))
 
@@ -181,7 +185,7 @@ func Anneal(ctx context.Context, p *Problem, cfg AnnealConfig) (Schedule, bool) 
 				undo = func() { opts[ti] = old }
 			}
 
-			cand, ok := g.decode(list, opts)
+			cand, ok := g.decodeInto(spare, list, opts)
 			sgsCtr.Inc()
 			accept := false
 			if ok {
@@ -192,7 +196,7 @@ func Anneal(ctx context.Context, p *Problem, cfg AnnealConfig) (Schedule, bool) 
 			}
 			if accept {
 				accCtr.Inc()
-				cur = cand
+				cur, spare = cand, cur
 				if cur.Makespan < best.Makespan {
 					best = cur.Clone()
 					bestList = append(bestList[:0], list...)
@@ -203,6 +207,7 @@ func Anneal(ctx context.Context, p *Problem, cfg AnnealConfig) (Schedule, bool) 
 				}
 			} else {
 				rejCtr.Inc()
+				spare = cand
 				undo()
 			}
 			temp *= cooling

@@ -54,10 +54,7 @@ func SolveExact(ctx context.Context, p *Problem, cfg ExactConfig) ExactResult {
 	}
 	n := len(p.Tasks)
 	g := newSGS(p)
-	g.tl.reset()
-	for i := range g.scheduled {
-		g.scheduled[i] = false
-	}
+	scheduled := make([]bool, n)
 
 	best := Schedule{}
 	bestMakespan := math.MaxInt
@@ -67,13 +64,13 @@ func SolveExact(ctx context.Context, p *Problem, cfg ExactConfig) ExactResult {
 	foundBest := false
 
 	tail := tails(p)
-	maxStart := g.maxStartBound()
 
 	starts := make([]int, n)
 	options := make([]int, n)
 	nodes := 0
 	limitHit := false
 	rt := cfg.Obs.Record("exact-bb")
+	var eligible [][2]int // (task, ready) per open node, deepest last
 
 	var dfs func(placed, currentMakespan int)
 	dfs = func(placed, currentMakespan int) {
@@ -101,14 +98,19 @@ func SolveExact(ctx context.Context, p *Problem, cfg ExactConfig) ExactResult {
 			return
 		}
 		// Lower bound on any completion from this node: every unscheduled
-		// eligible-or-later task still needs ready+tail time.
+		// eligible-or-later task still needs ready+tail time. The same pass
+		// collects the eligible tasks (all predecessors placed) and their
+		// ready times on the shared stack for the branching loop below;
+		// children push above this node's entries and pop them on return.
+		base := len(eligible)
 		for i := 0; i < n; i++ {
-			if g.scheduled[i] {
+			if scheduled[i] {
 				continue
 			}
 			ready := 0
+			all := true
 			for _, d := range p.Tasks[i].Deps {
-				if g.scheduled[d.Task] {
+				if scheduled[d.Task] {
 					var e int
 					switch d.Kind {
 					case FinishStart:
@@ -119,40 +121,33 @@ func SolveExact(ctx context.Context, p *Problem, cfg ExactConfig) ExactResult {
 					if e > ready {
 						ready = e
 					}
+				} else {
+					all = false
 				}
 			}
 			if ready+tail[i] >= bestMakespan {
+				eligible = eligible[:base]
 				return // prune: this task alone pushes past the incumbent
 			}
+			if all {
+				eligible = append(eligible, [2]int{i, ready})
+			}
 		}
+		top := len(eligible)
 
-		for i := 0; i < n; i++ {
-			if g.scheduled[i] {
-				continue
-			}
-			eligible := true
-			for _, d := range p.Tasks[i].Deps {
-				if !g.scheduled[d.Task] {
-					eligible = false
-					break
-				}
-			}
-			if !eligible {
-				continue
-			}
-			ready := g.ready(i)
+		for k := base; k < top; k++ {
+			i, ready := eligible[k][0], eligible[k][1]
 			for oi := range p.Tasks[i].Options {
-				o := &p.Tasks[i].Options[oi]
-				s := g.tl.earliestStart(o, ready, maxStart)
+				s := g.tl.earliestStart(i, oi, ready, g.maxStart)
 				if s < 0 {
 					continue
 				}
-				finish := s + o.Duration
+				finish := s + p.Tasks[i].Options[oi].Duration
 				if s+tail[i] >= bestMakespan {
 					continue // cannot beat the incumbent via this placement
 				}
-				g.tl.place(o, s)
-				g.scheduled[i] = true
+				g.tl.place(i, oi, s)
+				scheduled[i] = true
 				g.start[i], g.finish[i] = s, finish
 				starts[i], options[i] = s, oi
 
@@ -162,13 +157,15 @@ func SolveExact(ctx context.Context, p *Problem, cfg ExactConfig) ExactResult {
 				}
 				dfs(placed+1, m)
 
-				g.tl.remove(o, s)
-				g.scheduled[i] = false
+				g.tl.remove(i, oi, s)
+				scheduled[i] = false
 				if limitHit {
+					eligible = eligible[:base]
 					return
 				}
 			}
 		}
+		eligible = eligible[:base]
 	}
 
 	octx := cfg.Obs

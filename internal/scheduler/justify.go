@@ -46,10 +46,9 @@ func rightJustify(p *Problem, s Schedule) Schedule {
 	}
 
 	tl := newTimeline(p)
-	tl.grow(makespan + 1)
 	// Place all tasks at their current positions, then move one at a time.
 	for i := 0; i < n; i++ {
-		tl.place(&p.Tasks[i].Options[out.Option[i]], out.Start[i])
+		tl.place(i, out.Option[i], out.Start[i])
 	}
 
 	for _, i := range order {
@@ -76,16 +75,20 @@ func rightJustify(p *Problem, s Schedule) Schedule {
 		if deadline <= out.Start[i] {
 			continue
 		}
-		tl.remove(o, out.Start[i])
+		tl.remove(i, out.Option[i], out.Start[i])
 		best := out.Start[i]
-		// Scan from the deadline downward for the latest feasible start.
-		for cand := deadline; cand > out.Start[i]; cand-- {
-			if ok, _ := tl.fits(o, cand); ok {
+		// Scan from the deadline downward for the latest feasible start. A
+		// conflict at step c rules out every start in (c-duration, c], so
+		// the scan jumps below that range.
+		for cand := deadline; cand > out.Start[i]; {
+			ok, c := tl.fits(i, out.Option[i], cand)
+			if ok {
 				best = cand
 				break
 			}
+			cand = min(cand-1, c-o.Duration)
 		}
-		tl.place(o, best)
+		tl.place(i, out.Option[i], best)
 		out.Start[i] = best
 	}
 	out.ComputeMakespan(p)

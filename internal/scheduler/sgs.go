@@ -1,135 +1,5 @@
 package scheduler
 
-// timeline tracks group occupancy and cumulative resource usage over time so
-// the schedule-generation scheme can test placements incrementally. Arrays
-// grow on demand; the scheduling horizon is soft here.
-type timeline struct {
-	p         *Problem
-	groupBusy [][]bool    // [group][step]
-	usage     [][]float64 // [resource][step]
-	length    int
-}
-
-func newTimeline(p *Problem) *timeline {
-	t := &timeline{p: p}
-	t.groupBusy = make([][]bool, p.NumGroups())
-	t.usage = make([][]float64, len(p.Resources))
-	t.grow(p.Horizon + 1)
-	return t
-}
-
-// grow extends all step arrays to at least n steps.
-func (t *timeline) grow(n int) {
-	if n <= t.length {
-		return
-	}
-	for g := range t.groupBusy {
-		t.groupBusy[g] = append(t.groupBusy[g], make([]bool, n-len(t.groupBusy[g]))...)
-	}
-	for r := range t.usage {
-		t.usage[r] = append(t.usage[r], make([]float64, n-len(t.usage[r]))...)
-	}
-	t.length = n
-}
-
-// reset clears all occupancy without shrinking the arrays.
-func (t *timeline) reset() {
-	for g := range t.groupBusy {
-		b := t.groupBusy[g]
-		for i := range b {
-			b[i] = false
-		}
-	}
-	for r := range t.usage {
-		u := t.usage[r]
-		for i := range u {
-			u[i] = 0
-		}
-	}
-}
-
-// fits reports whether placing an option at start would violate the group
-// unary constraint or any resource capacity. On failure it returns the first
-// conflicting step so the caller can jump past it.
-func (t *timeline) fits(o *Option, start int) (bool, int) {
-	end := start + o.Duration
-	t.grow(end)
-	g := t.p.ClusterGroup[o.Cluster]
-	busy := t.groupBusy[g]
-	for s := start; s < end; s++ {
-		if busy[s] {
-			return false, s
-		}
-	}
-	for r := range t.p.Resources {
-		d := o.Demand[r]
-		if d == 0 {
-			continue
-		}
-		cap := t.p.Resources[r].Capacity
-		u := t.usage[r]
-		for s := start; s < end; s++ {
-			if u[s]+d > cap+1e-9 {
-				return false, s
-			}
-		}
-	}
-	return true, 0
-}
-
-// place commits an option at start.
-func (t *timeline) place(o *Option, start int) {
-	end := start + o.Duration
-	t.grow(end)
-	busy := t.groupBusy[t.p.ClusterGroup[o.Cluster]]
-	for s := start; s < end; s++ {
-		busy[s] = true
-	}
-	for r := range t.p.Resources {
-		d := o.Demand[r]
-		if d == 0 {
-			continue
-		}
-		u := t.usage[r]
-		for s := start; s < end; s++ {
-			u[s] += d
-		}
-	}
-}
-
-// remove undoes a placement.
-func (t *timeline) remove(o *Option, start int) {
-	end := start + o.Duration
-	busy := t.groupBusy[t.p.ClusterGroup[o.Cluster]]
-	for s := start; s < end; s++ {
-		busy[s] = false
-	}
-	for r := range t.p.Resources {
-		d := o.Demand[r]
-		if d == 0 {
-			continue
-		}
-		u := t.usage[r]
-		for s := start; s < end; s++ {
-			u[s] -= d
-		}
-	}
-}
-
-// earliestStart finds the earliest start >= ready where the option fits.
-// maxStart bounds the search; -1 is returned if nothing fits by then.
-func (t *timeline) earliestStart(o *Option, ready, maxStart int) int {
-	s := ready
-	for s <= maxStart {
-		ok, conflict := t.fits(o, s)
-		if ok {
-			return s
-		}
-		s = conflict + 1
-	}
-	return -1
-}
-
 // sgs is a reusable serial schedule-generation scheme. Given an activity
 // list (a task permutation) and per-task option choices, it builds the
 // semi-active schedule that places each task, in list order (repaired to be
@@ -138,29 +8,46 @@ func (t *timeline) earliestStart(o *Option, ready, maxStart int) int {
 // for regular objectives such as makespan, which makes it a sound decoding
 // for both heuristics and the exact search.
 type sgs struct {
-	p         *Problem
-	tl        *timeline
-	scheduled []bool
-	start     []int
-	finish    []int
+	p      *Problem
+	tl     *timeline
+	start  []int
+	finish []int
+	// maxStart is the hard cap on placement searches; hitting it means the
+	// instance is so over-constrained that no placement exists even far past
+	// the horizon (e.g. a demand exceeding a resource capacity outright).
+	maxStart int
+
+	// Activity-list repair state, reused across decodes.
+	succ    [][]int // successors, once per dependency edge
+	waiting []int   // unscheduled dependency edges per task
+	first   []int   // first list position per task, -1 if absent
+	heap    []int   // min-heap of first positions of eligible tasks
 }
 
 func newSGS(p *Problem) *sgs {
-	return &sgs{
-		p:         p,
-		tl:        newTimeline(p),
-		scheduled: make([]bool, len(p.Tasks)),
-		start:     make([]int, len(p.Tasks)),
-		finish:    make([]int, len(p.Tasks)),
+	n := len(p.Tasks)
+	g := &sgs{
+		p:        p,
+		tl:       newTimeline(p),
+		start:    make([]int, n),
+		finish:   make([]int, n),
+		maxStart: maxStartBound(p),
+		succ:     make([][]int, n),
+		waiting:  make([]int, n),
+		first:    make([]int, n),
+		heap:     make([]int, 0, n),
 	}
+	for i, t := range p.Tasks {
+		for _, d := range t.Deps {
+			g.succ[d.Task] = append(g.succ[d.Task], i)
+		}
+	}
+	return g
 }
 
-// maxStartBound is the hard cap on placement searches; hitting it means the
-// instance is so over-constrained that no placement exists even far past the
-// horizon (e.g. a demand exceeding a resource capacity outright).
-func (g *sgs) maxStartBound() int {
-	total := g.p.Horizon
-	for _, t := range g.p.Tasks {
+func maxStartBound(p *Problem) int {
+	total := p.Horizon
+	for _, t := range p.Tasks {
 		total += t.MinDuration() + 1
 	}
 	return 4*total + 64
@@ -191,60 +78,113 @@ func (g *sgs) ready(i int) int {
 // activity-list repair). It returns false only if some task cannot be placed
 // within the hard bound, which indicates an infeasible option (demand above
 // capacity).
+//
+// Canonical activity-list decoding places the first eligible task in list
+// order, then looks again, so earlier list positions keep priority. Rather
+// than rescanning the list, decode counts each task's unscheduled
+// dependencies and keeps the list positions of eligible tasks in a min-heap:
+// the heap's minimum is exactly the task a rescan would pick.
 func (g *sgs) decode(list []int, opts []int) (Schedule, bool) {
+	return g.decodeInto(Schedule{}, list, opts)
+}
+
+// decodeInto is decode returning its schedule in dst's slices when they are
+// large enough, so a search loop that discards most candidates can recycle
+// them instead of allocating per decode.
+func (g *sgs) decodeInto(dst Schedule, list []int, opts []int) (Schedule, bool) {
 	g.tl.reset()
-	for i := range g.scheduled {
-		g.scheduled[i] = false
-	}
-	maxStart := g.maxStartBound()
-
 	n := len(g.p.Tasks)
-	placed := 0
-	pending := make([]int, len(list))
-	copy(pending, list)
+	for i := range g.p.Tasks {
+		g.waiting[i] = len(g.p.Tasks[i].Deps)
+		g.first[i] = -1
+	}
+	for idx, i := range list {
+		if i >= 0 && g.first[i] < 0 {
+			g.first[i] = idx
+		}
+	}
+	g.heap = g.heap[:0]
+	for i := range g.p.Tasks {
+		if g.waiting[i] == 0 && g.first[i] >= 0 {
+			g.push(g.first[i])
+		}
+	}
 
-	for placed < n {
-		advanced := false
-		// Canonical activity-list decoding: place the first eligible task in
-		// list order, then rescan, so earlier list positions keep priority.
-		for idx := 0; idx < len(pending); idx++ {
-			i := pending[idx]
-			if i < 0 || g.scheduled[i] {
-				continue
+	makespan := 0
+	for placed := 0; placed < n; placed++ {
+		if len(g.heap) == 0 {
+			// Should be impossible on a validated (acyclic) problem whose
+			// list names every task.
+			return dst, false
+		}
+		i := list[g.pop()]
+		s := g.tl.earliestStart(i, opts[i], g.ready(i), g.maxStart)
+		if s < 0 {
+			return dst, false
+		}
+		g.tl.place(i, opts[i], s)
+		g.start[i] = s
+		g.finish[i] = s + g.p.Tasks[i].Options[opts[i]].Duration
+		makespan = max(makespan, g.finish[i])
+		for _, j := range g.succ[i] {
+			g.waiting[j]--
+			if g.waiting[j] == 0 && g.first[j] >= 0 {
+				g.push(g.first[j])
 			}
-			allPreds := true
-			for _, d := range g.p.Tasks[i].Deps {
-				if !g.scheduled[d.Task] {
-					allPreds = false
-					break
-				}
-			}
-			if !allPreds {
-				continue
-			}
-			o := &g.p.Tasks[i].Options[opts[i]]
-			s := g.tl.earliestStart(o, g.ready(i), maxStart)
-			if s < 0 {
-				return Schedule{}, false
-			}
-			g.tl.place(o, s)
-			g.start[i] = s
-			g.finish[i] = s + o.Duration
-			g.scheduled[i] = true
-			pending[idx] = -1
-			placed++
-			advanced = true
+		}
+	}
+
+	if cap(dst.Start) < n || cap(dst.Option) < n {
+		// One allocation backs both slices of a new schedule.
+		buf := make([]int, 2*n)
+		dst.Start, dst.Option = buf[:n:n], buf[n:]
+	}
+	dst.Start, dst.Option = dst.Start[:n], dst.Option[:n]
+	copy(dst.Start, g.start)
+	copy(dst.Option, opts)
+	dst.Makespan = makespan
+	return dst, true
+}
+
+// push adds a list position to the eligibility heap.
+func (g *sgs) push(x int) {
+	h := append(g.heap, x)
+	for c := len(h) - 1; c > 0; {
+		p := (c - 1) / 2
+		if h[p] <= x {
 			break
 		}
-		if !advanced {
-			// Should be impossible on a validated (acyclic) problem.
-			return Schedule{}, false
-		}
+		h[c], h[p] = h[p], x
+		c = p
 	}
+	g.heap = h
+}
 
-	sched := Schedule{Start: make([]int, n), Option: make([]int, n)}
-	copy(sched.Start, g.start)
-	copy(sched.Option, opts)
-	sched.ComputeMakespan(g.p)
-	return sched, true
+// pop removes and returns the smallest list position in the heap.
+func (g *sgs) pop() int {
+	h := g.heap
+	top := h[0]
+	last := len(h) - 1
+	x := h[last]
+	h = h[:last]
+	for c := 0; ; {
+		l := 2*c + 1
+		if l >= last {
+			if last > 0 {
+				h[c] = x
+			}
+			break
+		}
+		if r := l + 1; r < last && h[r] < h[l] {
+			l = r
+		}
+		if x <= h[l] {
+			h[c] = x
+			break
+		}
+		h[c] = h[l]
+		c = l
+	}
+	g.heap = h
+	return top
 }

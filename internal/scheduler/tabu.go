@@ -116,6 +116,7 @@ func TabuSearch(ctx context.Context, p *Problem, cfg TabuConfig) (Schedule, bool
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tabuUntil := map[tabuMove]int{}
 	cur := best.Clone()
+	var probe Schedule // reused by the neighbourhood scan, which keeps only makespans
 
 	for it := 0; it < cfg.Iterations; it++ {
 		if it&cancelCheckMask == 0 && ctx.Err() != nil {
@@ -160,18 +161,19 @@ func TabuSearch(ctx context.Context, p *Problem, cfg TabuConfig) (Schedule, bool
 			}
 			// Tabu unless it would beat the global best (aspiration).
 			c.apply()
-			sched, ok := g.decode(list, opts)
+			var ok bool
+			probe, ok = g.decodeInto(probe, list, opts)
 			sgsCtr.Inc()
 			c.undo()
 			if !ok {
 				continue
 			}
-			if until, isTabu := tabuUntil[c.move]; isTabu && it < until && sched.Makespan >= best.Makespan {
+			if until, isTabu := tabuUntil[c.move]; isTabu && it < until && probe.Makespan >= best.Makespan {
 				continue
 			}
-			if bestCand == -1 || sched.Makespan < bestSpan {
+			if bestCand == -1 || probe.Makespan < bestSpan {
 				bestCand = k
-				bestSpan = sched.Makespan
+				bestSpan = probe.Makespan
 				bestApply = c.apply
 				bestMove = c.move
 			}

@@ -21,21 +21,20 @@ func timelineProblem() *Problem {
 func TestTimelinePlaceFitsRemove(t *testing.T) {
 	p := timelineProblem()
 	tl := newTimeline(p)
-	o := &p.Tasks[0].Options[0]
 
-	if ok, _ := tl.fits(o, 0); !ok {
+	if ok, _ := tl.fits(0, 0, 0); !ok {
 		t.Fatal("empty timeline rejects a placement")
 	}
-	tl.place(o, 0)
+	tl.place(0, 0, 0)
 	// Same group is busy for [0,3).
-	if ok, conflict := tl.fits(o, 2); ok || conflict != 2 {
+	if ok, conflict := tl.fits(0, 0, 2); ok || conflict != 2 {
 		t.Errorf("overlapping placement accepted (ok=%v conflict=%d)", ok, conflict)
 	}
-	if ok, _ := tl.fits(o, 3); !ok {
+	if ok, _ := tl.fits(0, 0, 3); !ok {
 		t.Error("back-to-back placement rejected")
 	}
-	tl.remove(o, 0)
-	if ok, _ := tl.fits(o, 0); !ok {
+	tl.remove(0, 0, 0)
+	if ok, _ := tl.fits(0, 0, 0); !ok {
 		t.Error("remove did not free the slot")
 	}
 }
@@ -49,14 +48,12 @@ func TestTimelineResourceConflict(t *testing.T) {
 		Options: []Option{{Cluster: 1, Duration: 3, Demand: []float64{2}}},
 	})
 	tl := newTimeline(p)
-	a := &p.Tasks[0].Options[0]
-	b := &p.Tasks[1].Options[0]
-	tl.place(a, 0)
+	tl.place(0, 0, 0)
 	// 2 + 2 > 3: the resource forbids overlap even across groups.
-	if ok, _ := tl.fits(b, 1); ok {
+	if ok, _ := tl.fits(1, 0, 1); ok {
 		t.Error("resource over-capacity placement accepted")
 	}
-	if ok, _ := tl.fits(b, 3); !ok {
+	if ok, _ := tl.fits(1, 0, 3); !ok {
 		t.Error("non-overlapping placement rejected")
 	}
 }
@@ -64,13 +61,12 @@ func TestTimelineResourceConflict(t *testing.T) {
 func TestTimelineGrowth(t *testing.T) {
 	p := timelineProblem()
 	tl := newTimeline(p)
-	o := &p.Tasks[0].Options[0]
-	// Far beyond the initial horizon: arrays must grow transparently.
-	if ok, _ := tl.fits(o, 500); !ok {
-		t.Error("placement past the horizon rejected by growth logic")
+	// Far beyond the horizon: the time axis is unbounded.
+	if ok, _ := tl.fits(0, 0, 500); !ok {
+		t.Error("placement past the horizon rejected")
 	}
-	tl.place(o, 500)
-	if ok, _ := tl.fits(o, 501); ok {
+	tl.place(0, 0, 500)
+	if ok, _ := tl.fits(0, 0, 501); ok {
 		t.Error("overlap past the horizon accepted")
 	}
 }
@@ -78,15 +74,14 @@ func TestTimelineGrowth(t *testing.T) {
 func TestTimelineEarliestStartJumpsPastConflicts(t *testing.T) {
 	p := timelineProblem()
 	tl := newTimeline(p)
-	o := &p.Tasks[0].Options[0]
-	tl.place(o, 2) // busy [2,5)
-	got := tl.earliestStart(o, 0, 100)
+	tl.place(0, 0, 2) // busy [2,5)
+	got := tl.earliestStart(0, 0, 0, 100)
 	// Duration 3 starting at 0 would collide at step 2; the next feasible
 	// start is 5.
 	if got != 5 {
 		t.Errorf("earliestStart = %d, want 5", got)
 	}
-	if got := tl.earliestStart(o, 6, 100); got != 6 {
+	if got := tl.earliestStart(0, 0, 6, 100); got != 6 {
 		t.Errorf("earliestStart from 6 = %d, want 6", got)
 	}
 }
@@ -94,14 +89,13 @@ func TestTimelineEarliestStartJumpsPastConflicts(t *testing.T) {
 func TestTimelineResetClearsEverything(t *testing.T) {
 	p := timelineProblem()
 	tl := newTimeline(p)
-	o := &p.Tasks[0].Options[0]
 	rng := rand.New(rand.NewSource(1))
 	for k := 0; k < 10; k++ {
-		tl.place(o, 6*k+rng.Intn(3))
+		tl.place(0, 0, 6*k+rng.Intn(3))
 	}
 	tl.reset()
 	for s := 0; s < 80; s += 7 {
-		if ok, _ := tl.fits(o, s); !ok {
+		if ok, _ := tl.fits(0, 0, s); !ok {
 			t.Fatalf("reset left residue at %d", s)
 		}
 	}
@@ -112,32 +106,32 @@ func TestTimelineResetClearsEverything(t *testing.T) {
 func TestTimelinePlaceRemoveRoundTripProperty(t *testing.T) {
 	p := timelineProblem()
 	tl := newTimeline(p)
-	o := &p.Tasks[0].Options[0]
 	rng := rand.New(rand.NewSource(9))
 	var starts []int
 	for k := 0; k < 30; k++ {
-		s := tl.earliestStart(o, rng.Intn(40), 1000)
+		s := tl.earliestStart(0, 0, rng.Intn(40), 1000)
 		if s < 0 {
 			t.Fatal("no feasible start")
 		}
-		tl.place(o, s)
+		tl.place(0, 0, s)
 		starts = append(starts, s)
 	}
 	for _, s := range starts {
-		tl.remove(o, s)
+		tl.remove(0, 0, s)
 	}
-	for g := range tl.groupBusy {
-		for step, busy := range tl.groupBusy[g] {
-			if busy {
-				t.Fatalf("group %d busy at %d after full removal", g, step)
-			}
+	for g, iv := range tl.busy {
+		if len(iv) != 0 {
+			t.Fatalf("group %d still busy over %v after full removal", g, iv)
 		}
 	}
-	for r := range tl.usage {
-		for step, u := range tl.usage[r] {
-			if u != 0 {
-				t.Fatalf("resource %d usage %g at %d after full removal", r, u, step)
-			}
+	// Every usage row returned to exactly zero, so all breakpoints merged
+	// back into the single initial segment.
+	if len(tl.pos) != 1 || len(tl.use) != len(p.Resources) {
+		t.Fatalf("profile kept %d segments after full removal: %v", len(tl.pos), tl.pos)
+	}
+	for r, u := range tl.use {
+		if u != 0 {
+			t.Fatalf("resource %d usage %g after full removal", r, u)
 		}
 	}
 }
