@@ -245,6 +245,9 @@ func (p *Point) Key() uint64 {
 	return p.key
 }
 
+// Enabled reports whether any site can fire for this point.
+func (p *Point) Enabled() bool { return p != nil && p.inj.Enabled() }
+
 // PanicNow panics with an *InjectedPanic when site decides KindPanic for this
 // point. Call it inside the code region a recover boundary must protect.
 func (p *Point) PanicNow(site string) {

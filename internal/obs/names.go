@@ -19,6 +19,10 @@ const (
 	MLowerBoundSteps = "hilp_sched_lower_bound_steps"
 	MMakespanSteps   = "hilp_sched_makespan_steps"
 
+	// MImproverSkipped counts anneal/tabu runs skipped because their starting
+	// incumbent already met the lower bound.
+	MImproverSkipped = "hilp_improver_skipped_total"
+
 	// Background goroutines guarded by Context.Guard (any layer).
 	MGoroutinePanics = "hilp_goroutine_panics_total"
 

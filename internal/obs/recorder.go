@@ -113,6 +113,36 @@ func (r *Recorder) Begin(solver string) SolveTrace {
 	return SolveTrace{r: r, idx: idx}
 }
 
+// Fork returns an empty recorder that stamps events on r's clock. Work that
+// runs concurrently records into forks, and Merge appends each fork to r in
+// a fixed order, so the recording does not depend on scheduling. A nil
+// recorder forks to nil.
+func (r *Recorder) Fork() *Recorder {
+	if r == nil {
+		return nil
+	}
+	return &Recorder{now: func() int64 {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.now()
+	}}
+}
+
+// Merge appends the runs recorded in fork, which must all have ended, after
+// r's own. Merging a nil fork is a no-op.
+func (r *Recorder) Merge(fork *Recorder) {
+	if r == nil || fork == nil {
+		return
+	}
+	fork.mu.Lock()
+	solves := fork.solves
+	fork.solves = nil
+	fork.mu.Unlock()
+	r.mu.Lock()
+	r.solves = append(r.solves, solves...)
+	r.mu.Unlock()
+}
+
 // SolveTrace is a handle to one recorded solver run. The zero value is inert:
 // every method is a no-op, so disabled recording costs only a nil check.
 // When a bus is attached (Context.Record does this) every event is also

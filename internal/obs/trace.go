@@ -18,6 +18,8 @@ type Tracer struct {
 	now     func() int64 // nanoseconds since tracer creation
 	events  []traceEvent
 	nextTID int64
+	// replayable marks an injected clock (NewTracerWithClock).
+	replayable bool
 }
 
 // spanArg is one key/value annotation on a span.
@@ -47,8 +49,14 @@ func NewTracer() *Tracer {
 // clock returning nanoseconds. Tests inject a counting clock to make traces
 // byte-for-byte deterministic.
 func NewTracerWithClock(now func() int64) *Tracer {
-	return &Tracer{now: now}
+	return &Tracer{now: now, replayable: true}
 }
+
+// Replayable reports whether the tracer runs on an injected clock, whose
+// traces promise byte-for-byte replay. Work that would read such a clock
+// from overlapping goroutines, and so interleave its ticks, runs in order
+// instead.
+func (t *Tracer) Replayable() bool { return t != nil && t.replayable }
 
 // StartSpan opens a root span on a fresh track. On a nil tracer it returns
 // the inert zero Span.

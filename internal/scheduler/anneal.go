@@ -9,6 +9,31 @@ import (
 	"hilp/internal/obs"
 )
 
+// decodeHeuristics decodes the portfolio for an improver that was not handed
+// one, under a "heuristics" span.
+func decodeHeuristics(p *Problem, octx *obs.Context) *portfolio {
+	hsp := octx.StartSpan("heuristics")
+	pf := decodePortfolio(p, octx.Counter(obs.MSGSSchedules))
+	hsp.ArgInt("seeds", pf.seeds)
+	if pf.found {
+		hsp.ArgInt("best_makespan", pf.best.Makespan)
+	}
+	hsp.End()
+	return pf
+}
+
+// improverSkipped reports whether best already meets the lower bound lb, in
+// which case the improver behind span sp has nothing to search: anneal and
+// tabu replace their incumbent only on strict improvement.
+func improverSkipped(octx *obs.Context, sp obs.Span, best Schedule, lb int) bool {
+	if best.Makespan > lb {
+		return false
+	}
+	octx.Counter(obs.MImproverSkipped).Inc()
+	sp.ArgStr("skipped", "lower-bound")
+	return true
+}
+
 // AnnealConfig tunes the simulated-annealing search over (activity list,
 // option assignment) states.
 type AnnealConfig struct {
@@ -51,13 +76,20 @@ const cancelCheckMask = 31
 
 // Anneal improves on the heuristic portfolio with simulated annealing and
 // returns the best schedule found. ok is false when even the heuristics
-// could not place the tasks (an outright-infeasible option set).
+// could not place the tasks (an outright-infeasible option set). When the
+// starting incumbent already meets LowerBound(p), the search is skipped:
+// no schedule beats it, so the result is the same.
 //
 // Cancelling ctx stops the search promptly; the best schedule found so far
 // is still returned (the heuristic seeds alone guarantee one).
 func Anneal(ctx context.Context, p *Problem, cfg AnnealConfig) (Schedule, bool) {
+	return anneal(ctx, p, cfg, nil, LowerBound(p))
+}
+
+// anneal is Anneal starting from a decoded portfolio (nil decodes it here)
+// and a proven lower bound lb.
+func anneal(ctx context.Context, p *Problem, cfg AnnealConfig, pf *portfolio, lb int) (Schedule, bool) {
 	cfg = cfg.withDefaults(p)
-	g := newSGS(p)
 
 	octx := cfg.Obs
 	asp := octx.StartSpan("anneal").ArgInt("iterations", cfg.Iterations).ArgInt("restarts", cfg.Restarts)
@@ -69,23 +101,15 @@ func Anneal(ctx context.Context, p *Problem, cfg AnnealConfig) (Schedule, bool) 
 	accCtr := octx.Counter(obs.MAnnealAccepted)
 	rejCtr := octx.Counter(obs.MAnnealRejected)
 
-	hsp := actx.StartSpan("heuristics")
-	seeds := heuristicCandidates(p)
-	var best Schedule
+	if pf == nil {
+		pf = decodeHeuristics(p, actx)
+	}
+	g := pf.g
+	best, found := pf.best, pf.found
 	var bestList, bestOpts []int
-	found := false
-	for _, c := range seeds {
-		s, ok := g.decode(c.list, c.opts)
-		sgsCtr.Inc()
-		if !ok {
-			continue
-		}
-		if !found || s.Makespan < best.Makespan {
-			best = s
-			bestList = append([]int(nil), c.list...)
-			bestOpts = append([]int(nil), c.opts...)
-			found = true
-		}
+	if found {
+		bestList = append([]int(nil), pf.list...)
+		bestOpts = append([]int(nil), pf.opts...)
 	}
 	// A warm-start seed competes with the portfolio; when it wins, the
 	// search starts from the donor's (repaired) schedule instead.
@@ -101,15 +125,11 @@ func Anneal(ctx context.Context, p *Problem, cfg AnnealConfig) (Schedule, bool) 
 			}
 		}
 	}
-	if found {
-		hsp.ArgInt("seeds", len(seeds)).ArgInt("best_makespan", best.Makespan)
-		rt.Incumbent(0, float64(best.Makespan))
-	}
-	hsp.End()
 	if !found {
 		return Schedule{}, false
 	}
-	if len(p.Tasks) <= 1 {
+	rt.Incumbent(0, float64(best.Makespan))
+	if len(p.Tasks) <= 1 || improverSkipped(octx, asp, best, lb) {
 		return best, true
 	}
 

@@ -3,6 +3,8 @@ package scheduler
 import (
 	"math"
 	"sort"
+
+	"hilp/internal/obs"
 )
 
 // OptionPolicy selects one option per task.
@@ -164,22 +166,36 @@ type candidate struct {
 	opts []int
 }
 
+// portfolio is the priority-rule seed set decoded through one serial SGS:
+// the first of the shortest schedules, the (list, options) pair behind it,
+// and the decoder, which the improver goes on using.
+type portfolio struct {
+	g          *sgs
+	best       Schedule
+	list, opts []int
+	seeds      int
+	found      bool
+}
+
+// decodePortfolio decodes every heuristic candidate; sgsCtr counts the
+// decodes.
+func decodePortfolio(p *Problem, sgsCtr *obs.Counter) *portfolio {
+	cands := heuristicCandidates(p)
+	pf := &portfolio{g: newSGS(p), seeds: len(cands)}
+	for _, c := range cands {
+		s, ok := pf.g.decode(c.list, c.opts)
+		sgsCtr.Inc()
+		if ok && (!pf.found || s.Makespan < pf.best.Makespan) {
+			pf.best, pf.list, pf.opts, pf.found = s, c.list, c.opts, true
+		}
+	}
+	return pf
+}
+
 // HeuristicSchedule runs the priority-rule portfolio through serial SGS and
 // returns the best schedule found. ok is false when no candidate could be
 // placed (an option demands more than a resource capacity).
 func HeuristicSchedule(p *Problem) (Schedule, bool) {
-	g := newSGS(p)
-	best := Schedule{}
-	found := false
-	for _, c := range heuristicCandidates(p) {
-		s, ok := g.decode(c.list, c.opts)
-		if !ok {
-			continue
-		}
-		if !found || s.Makespan < best.Makespan {
-			best = s
-			found = true
-		}
-	}
-	return best, found
+	pf := decodePortfolio(p, nil)
+	return pf.best, pf.found
 }

@@ -55,13 +55,19 @@ type tabuMove struct {
 
 // TabuSearch improves on the heuristic portfolio with tabu search over the
 // same (activity list, option assignment) state space the annealer uses. ok
-// is false when no heuristic seed could be placed.
+// is false when no heuristic seed could be placed. Like Anneal, it skips the
+// search when the starting incumbent already meets LowerBound(p).
 //
 // Cancelling ctx stops the search promptly; the best schedule found so far
 // is still returned.
 func TabuSearch(ctx context.Context, p *Problem, cfg TabuConfig) (Schedule, bool) {
+	return tabuSearch(ctx, p, cfg, nil, LowerBound(p))
+}
+
+// tabuSearch is TabuSearch starting from a decoded portfolio (nil decodes it
+// here) and a proven lower bound lb.
+func tabuSearch(ctx context.Context, p *Problem, cfg TabuConfig, pf *portfolio, lb int) (Schedule, bool) {
 	cfg = cfg.withDefaults(p)
-	g := newSGS(p)
 
 	octx := cfg.Obs
 	tsp := octx.StartSpan("tabu").ArgInt("iterations", cfg.Iterations)
@@ -72,22 +78,15 @@ func TabuSearch(ctx context.Context, p *Problem, cfg TabuConfig) (Schedule, bool
 	sgsCtr := octx.Counter(obs.MSGSSchedules)
 	stepCtr := octx.Counter(obs.MTabuSteps)
 
-	hsp := tctx.StartSpan("heuristics")
-	var best Schedule
+	if pf == nil {
+		pf = decodeHeuristics(p, tctx)
+	}
+	g := pf.g
+	best, found := pf.best, pf.found
 	var list, opts []int
-	found := false
-	for _, c := range heuristicCandidates(p) {
-		s, ok := g.decode(c.list, c.opts)
-		sgsCtr.Inc()
-		if !ok {
-			continue
-		}
-		if !found || s.Makespan < best.Makespan {
-			best = s
-			list = append(list[:0], c.list...)
-			opts = append(opts[:0], c.opts...)
-			found = true
-		}
+	if found {
+		list = append([]int(nil), pf.list...)
+		opts = append([]int(nil), pf.opts...)
 	}
 	// A warm-start seed competes with the portfolio; when it wins, the
 	// search starts from the donor's (repaired) schedule instead.
@@ -103,13 +102,12 @@ func TabuSearch(ctx context.Context, p *Problem, cfg TabuConfig) (Schedule, bool
 			}
 		}
 	}
-	hsp.End()
 	if !found {
 		return Schedule{}, false
 	}
 	rt.Incumbent(0, float64(best.Makespan))
 	n := len(p.Tasks)
-	if n <= 1 {
+	if n <= 1 || improverSkipped(octx, tsp, best, lb) {
 		return best, true
 	}
 

@@ -1,11 +1,14 @@
 package hilp_test
 
 import (
+	"bytes"
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
 	"hilp"
+	"hilp/internal/report"
 )
 
 func miniWorkload() hilp.Workload {
@@ -112,5 +115,51 @@ func TestSweepWithOptions(t *testing.T) {
 	}
 	if points[1].Speedup <= points[0].Speedup {
 		t.Errorf("GPU SoC %g not faster than CPU-only %g", points[1].Speedup, points[0].Speedup)
+	}
+}
+
+// TestSolveRecorderReportDeterministic runs a 3-level evaluation whose
+// coarse levels are solved on an idle core, and requires the flight
+// recorder to yield the same report JSON every time: records come out in
+// level order however the levels overlapped.
+func TestSolveRecorderReportDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(2)
+	w := miniWorkload()
+	spec := hilp.SoC{CPUCores: 2, GPUSMs: 16, GPUFrequenciesMHz: []float64{300, 765}}
+	var first []byte
+	overlapped := 0
+	for run := 0; run < 20; run++ {
+		rec := hilp.NewRecorder()
+		tr := hilp.NewTracer()
+		res, err := hilp.Solve(context.Background(), w, spec, hilp.WithProfile(hilp.ValidationProfile),
+			hilp.WithObs(&hilp.ObsContext{Recorder: rec, Tracer: tr}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Refinements != 2 {
+			t.Fatalf("refinements = %d, want a 3-level evaluation", res.Refinements)
+		}
+		for _, s := range tr.Snapshot() {
+			if s.Name == "refine-iteration" && s.Args["concurrent"] == 1 {
+				overlapped++
+			}
+		}
+		d, err := report.FromResult("recorder determinism", res, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := d.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = js
+		} else if !bytes.Equal(js, first) {
+			t.Fatalf("run %d: report JSON differs from run 0", run)
+		}
+	}
+	if overlapped == 0 {
+		t.Error("no level was solved on an idle core; the test did not exercise overlapping levels")
 	}
 }
