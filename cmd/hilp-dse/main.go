@@ -59,7 +59,7 @@ func main() {
 		csv          = flag.Bool("csv", false, "emit CSV instead of a table")
 		reportPath   = flag.String("report", "", "write an HTML run report (plus a .json twin): the sweep's Pareto front and a full re-evaluation of its best point")
 		faultSpec    = flag.String("faults", "", "chaos-test fault injection spec, e.g. seed=1,rate=0.1,kinds=panic+timeout,sites=solve (empty disables)")
-		follow       = flag.Bool("follow", false, "tail the live event bus to stderr: per-point completions, incumbent improvements, and solver stage transitions, one JSON line each")
+		follow       = flag.Bool("follow", false, "tail the live event bus to stderr: per-point completions, incumbent improvements, and flight-recorder solver events, one JSON line each")
 		useCache     = flag.Bool("cache", true, "reuse solves across canonically identical SoCs (sweep engine)")
 		warmStart    = flag.Bool("warm-start", true, "seed each point's search with its nearest solved neighbor's schedule (sweep engine)")
 		prune        = flag.Bool("prune", false, "skip dominated SoCs with a certified speedup bound instead of solving them (sweep engine)")
@@ -208,8 +208,8 @@ func main() {
 
 	var maPoints, gabPoints []hilp.Point
 	if *withBase && !interrupted {
-		maPoints = dse.Sweep(ctx, specs, *workers, dse.MAEvaluator(w))
-		gabPoints = dse.Sweep(ctx, specs, *workers, dse.GablesEvaluator(w, hilp.DSEProfile, cfg))
+		maPoints = dse.Run(ctx, specs, dse.BatchOptions{Workers: *workers}, dse.MAEvaluator(w)).Points
+		gabPoints = dse.Run(ctx, specs, dse.BatchOptions{Workers: *workers}, dse.GablesEvaluator(w, hilp.DSEProfile, cfg)).Points
 	}
 	if followWait != nil {
 		followWait()

@@ -64,11 +64,6 @@ func main() {
 	ctx := obs.WithRequestID(context.Background(), reqID)
 
 	octx := ocli.Context()
-	if octx != nil && ocli.Verbose {
-		// A single evaluation is cheap to narrate in full: include the
-		// per-refinement solver lines, not just top-level progress.
-		octx.Verbosity = 2
-	}
 	var rec *obs.Recorder
 	if *reportPath != "" {
 		// The run report needs the flight recorder attached to the solve.

@@ -43,8 +43,8 @@ func main() {
 		log.Fatal(err)
 	}
 	hilpPts := batch.Points
-	maPts := dse.Sweep(context.Background(), specs, workers, dse.MAEvaluator(w))
-	gabPts := dse.Sweep(context.Background(), specs, workers, dse.GablesEvaluator(w, hilp.DSEProfile, cfg))
+	maPts := dse.Run(context.Background(), specs, dse.BatchOptions{Workers: workers}, dse.MAEvaluator(w)).Points
+	gabPts := dse.Run(context.Background(), specs, dse.BatchOptions{Workers: workers}, dse.GablesEvaluator(w, hilp.DSEProfile, cfg)).Points
 
 	show := func(name string, pts []hilp.Point) {
 		for _, p := range pts {

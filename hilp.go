@@ -35,9 +35,8 @@
 // observability, the evaluation model, and the sweep engine's cross-point
 // reuse. SolveBatch amortizes work across a batch of design points:
 // canonical-model memoization, neighbor warm starts over the spec lattice,
-// and certified dominance pruning. The pre-context entry points (Evaluate,
-// EvaluateWith, SweepHILP, ...) remain as thin deprecated wrappers,
-// collected in legacy.go.
+// and certified dominance pruning. Built instances and custom models are
+// solved with SolveInstanceContext and SolveModelContext.
 package hilp
 
 import (
@@ -175,8 +174,8 @@ func DesignSpace(w Workload, cfg SpaceConfig) []SoC {
 }
 
 // Observability re-exports: thread an *ObsContext through SolverConfig.Obs
-// (and SweepOptions.Obs) to trace and meter the entire solve stack. See
-// internal/obs for span and metric semantics.
+// (or WithObs) to trace and meter the entire solve stack. See internal/obs
+// for span and metric semantics.
 type (
 	// ObsContext carries tracing/metrics sinks through the solver layers.
 	ObsContext = obs.Context
@@ -192,8 +191,6 @@ type (
 	SolveRecord = obs.SolveRecord
 	// GapCertificate is a solve's final incumbent/bound pair.
 	GapCertificate = obs.Certificate
-	// SweepOptions configures an observed design-space sweep.
-	SweepOptions = dse.SweepOptions
 	// SweepProgress is one live update of a running sweep.
 	SweepProgress = dse.Progress
 	// BatchResult is the outcome of SolveBatch: points in input order plus
@@ -249,7 +246,7 @@ func UniformWorkload(seed int64, apps int) (Workload, error) {
 
 // BuildInstance expands a (workload, SoC) pair into a solvable instance at
 // an explicit resolution, for what-if pinning (Instance.PinPhase and
-// friends) before solving with SolveInstance.
+// friends) before solving with SolveInstanceContext.
 func BuildInstance(w Workload, spec SoC, stepSec float64, horizon int) (*Instance, error) {
 	return core.BuildInstance(w, spec, stepSec, horizon)
 }

@@ -226,11 +226,13 @@ func heuristicFallback(pp *scheduler.Prepared) (scheduler.Result, bool) {
 
 // solveMILP is the chain's MILP primary: the time-indexed 0/1 encoding solved
 // with the in-repo branch and bound, warm-started from the heuristic
-// portfolio. A retry loosens the integrality tolerance and gap target, the
-// standard response to numerics-induced failures. An Infeasible/Unbounded
-// verdict on an instance the heuristics can schedule is classified as
-// milp.ErrNumerics (infeasible-due-to-numerics), so the chain retries and
-// degrades instead of reporting a false infeasibility.
+// portfolio. Cancelled before it finds an incumbent of its own, it returns
+// the warm start with Cancelled set unless that is proven. A retry loosens
+// the integrality tolerance and gap target, the standard response to
+// numerics-induced failures. An Infeasible/Unbounded verdict on an instance
+// the heuristics can schedule is classified as milp.ErrNumerics
+// (infeasible-due-to-numerics), so the chain retries and degrades instead of
+// reporting a false infeasibility.
 func solveMILP(ctx context.Context, pp *scheduler.Prepared, cfg scheduler.Config, retry bool) (scheduler.Result, error) {
 	p := pp.Problem()
 	opts := milp.Options{
@@ -283,6 +285,15 @@ func solveMILP(ctx context.Context, pp *scheduler.Prepared, cfg scheduler.Config
 		}
 		return scheduler.Result{}, scheduler.ErrInfeasible
 	default: // LimitReached without incumbent
+		if ctx.Err() != nil {
+			// Anytime contract: a cancelled search keeps the warm start it
+			// was seeded with, certified by the combinatorial bound.
+			if res, ok := heuristicFallback(pp); ok {
+				res.Method = "milp"
+				res.Cancelled = !res.Proven
+				return res, nil
+			}
+		}
 		return scheduler.Result{}, fmt.Errorf("%w (status %v)", errMILPIncomplete, sol.Status)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"hilp/internal/faults"
 	"hilp/internal/milp"
 	"hilp/internal/obs"
+	"hilp/internal/rodinia"
 	"hilp/internal/scheduler"
 )
 
@@ -175,5 +176,54 @@ func TestSolveAdaptiveDegradedSticky(t *testing.T) {
 	}
 	if res.Speedup <= 0 {
 		t.Errorf("degraded result speedup %g, want > 0", res.Speedup)
+	}
+}
+
+// TestSolveMILPCancelledReturnsWarmStart pins the MILP path's anytime
+// contract: a context cancelled before the search installs an incumbent
+// still yields the heuristic warm start the search was seeded with,
+// certified by the combinatorial lower bound, as the CP path does.
+func TestSolveMILPCancelledReturnsWarmStart(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	w := rodinia.Workload{Name: "mini", Apps: rodinia.DefaultWorkload().Apps[:3]}
+	cfg := scheduler.Config{Seed: 1, Improver: "milp", ExactNodeLimit: 50}
+	inst, err := BuildInstance(w, fastSpec(2, 16), 10, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := inst.Problem
+	res, err := SolveProblem(ctx, p, cfg)
+	if err != nil {
+		t.Fatalf("cancelled milp solve errored: %v", err)
+	}
+	if verr := res.Schedule.Validate(p); verr != nil {
+		t.Fatalf("cancelled milp schedule invalid: %v", verr)
+	}
+	if lb := scheduler.LowerBound(p); res.LowerBound != lb {
+		t.Errorf("lower bound %d, want the combinatorial bound %d", res.LowerBound, lb)
+	}
+	if res.Proven != (res.Schedule.Makespan == res.LowerBound) {
+		t.Errorf("proven %v for makespan %d, bound %d", res.Proven, res.Schedule.Makespan, res.LowerBound)
+	}
+	if res.Cancelled == res.Proven {
+		t.Errorf("cancelled %v, proven %v: want cancelled unless proven", res.Cancelled, res.Proven)
+	}
+	if res.Proven {
+		t.Fatal("the warm start meets the bound here, so Cancelled is not exercised")
+	}
+	if res.Degraded {
+		t.Error("cancelled milp solve marked degraded")
+	}
+	if res.Method != "milp" {
+		t.Errorf("method %q, want milp", res.Method)
+	}
+
+	full, err := Solve(ctx, w, fastSpec(2, 16), Profile{InitialStepSec: 10, Horizon: 200}, cfg)
+	if err != nil {
+		t.Fatalf("cancelled core.Solve with the milp improver errored: %v", err)
+	}
+	if full.MakespanSec <= 0 || full.Gap < 0 || full.Gap > 1 {
+		t.Errorf("cancelled core.Solve result: makespan %g, gap %g", full.MakespanSec, full.Gap)
 	}
 }

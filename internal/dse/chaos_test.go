@@ -50,7 +50,7 @@ func TestChaosSweep(t *testing.T) {
 	octx := &obs.Context{Metrics: reg}
 	profile := core.Profile{InitialStepSec: 10, Horizon: 200}
 	cfg := scheduler.Config{Seed: 1, Effort: 0.2}
-	points := SweepOpts(ctx, specs, SweepOptions{Obs: octx}, HILPEvaluator(w, profile, cfg))
+	points := Run(ctx, specs, BatchOptions{Obs: octx}, HILPEvaluator(w, profile, cfg)).Points
 
 	if len(points) != len(specs) {
 		t.Fatalf("sweep returned %d/%d points", len(points), len(specs))
@@ -128,7 +128,7 @@ func TestChaosSweepCleanWithRetryBudget(t *testing.T) {
 		Sites: []string{faults.SiteSolve},
 	})
 	ctx := faults.NewContext(context.Background(), inj)
-	points := Sweep(ctx, specs, 4, HILPEvaluator(w, core.Profile{InitialStepSec: 10, Horizon: 200}, scheduler.Config{Seed: 1, Effort: 0.2}))
+	points := Run(ctx, specs, BatchOptions{Workers: 4}, HILPEvaluator(w, core.Profile{InitialStepSec: 10, Horizon: 200}, scheduler.Config{Seed: 1, Effort: 0.2})).Points
 	for i, p := range points {
 		if p.Err != nil {
 			t.Errorf("point %d failed despite retry budget: %v", i, p.Err)

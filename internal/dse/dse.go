@@ -11,7 +11,6 @@ import (
 
 	"hilp/internal/baselines"
 	"hilp/internal/core"
-	"hilp/internal/obs"
 	"hilp/internal/rodinia"
 	"hilp/internal/scheduler"
 	"hilp/internal/soc"
@@ -133,43 +132,6 @@ type Progress struct {
 	// Elapsed is the wall-clock time since the sweep started; ETA is the
 	// remaining time extrapolated from the completed points.
 	Elapsed, ETA time.Duration
-}
-
-// SweepOptions configures SweepOpts beyond the evaluator itself.
-type SweepOptions struct {
-	// Workers is the goroutine fan-out; < 1 selects runtime.GOMAXPROCS(0).
-	Workers int
-	// Obs receives the sweep span and per-point metrics; nil disables them.
-	Obs *obs.Context
-	// OnProgress, when non-nil, is called after every completed point.
-	// Calls are serialized and Done is strictly increasing.
-	OnProgress func(Progress)
-}
-
-// Sweep evaluates every spec, fanning out across workers goroutines, and
-// returns points in input order. workers < 1 selects runtime.GOMAXPROCS(0).
-// Failed evaluations carry their error in Point.Err and are skipped by
-// ParetoFront.
-//
-// Cancelling ctx stops the sweep dispatching new specs: in-flight
-// evaluations finish (returning their best incumbents — see Evaluator), and
-// every spec never dispatched comes back with Point.Err set to the context
-// error, so completed points are preserved and unevaluated ones are
-// distinguishable.
-func Sweep(ctx context.Context, specs []soc.Spec, workers int, eval Evaluator) []Point {
-	return SweepOpts(ctx, specs, SweepOptions{Workers: workers}, eval)
-}
-
-// SweepOpts is Sweep with observability: a sweep span, per-point latency and
-// failure metrics, and a live progress callback. It is a thin compatibility
-// wrapper over the sweep engine (Run) with every cross-point reuse feature
-// disabled; use RunHILP for cache/warm-start/pruning sweeps.
-func SweepOpts(ctx context.Context, specs []soc.Spec, opts SweepOptions, eval Evaluator) []Point {
-	return Run(ctx, specs, BatchOptions{
-		Workers:    opts.Workers,
-		Obs:        opts.Obs,
-		OnProgress: opts.OnProgress,
-	}, eval).Points
 }
 
 // ParetoFront returns the subset of points that are Pareto-optimal for

@@ -82,9 +82,9 @@ func TestSweepPreservesOrderAndParallelizes(t *testing.T) {
 		{CPUCores: 2},
 		{CPUCores: 4},
 	}
-	pts := Sweep(context.Background(), specs, 3, func(_ context.Context, s soc.Spec) Point {
+	pts := Run(context.Background(), specs, BatchOptions{Workers: 3}, func(_ context.Context, s soc.Spec) Point {
 		return Point{Label: s.Label(), AreaMM2: s.AreaMM2()}
-	})
+	}).Points
 	for i, s := range specs {
 		if pts[i].Label != s.Label() {
 			t.Errorf("point %d = %s, want %s", i, pts[i].Label, s.Label())
@@ -106,7 +106,7 @@ func TestEvaluatorsOnMiniSpace(t *testing.T) {
 		"gables": GablesEvaluator(w, profile, cfg),
 		"ma":     MAEvaluator(w),
 	} {
-		pts := Sweep(context.Background(), specs, 1, eval)
+		pts := Run(context.Background(), specs, BatchOptions{Workers: 1}, eval).Points
 		for i, p := range pts {
 			if p.Err != nil {
 				t.Errorf("%s: point %d: %v", name, i, p.Err)

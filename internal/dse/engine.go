@@ -103,7 +103,7 @@ type BatchResult struct {
 // memoization, neighbor warm starts, and certified dominance pruning, per
 // opts. It is the engine behind hilp.SolveBatch and the hilp-serve
 // /v1/batch route. With every feature disabled it is equivalent to
-// Sweep(ctx, specs, workers, HILPEvaluator(w, profile, cfg)).
+// Run(ctx, specs, BatchOptions{Workers: workers}, HILPEvaluator(w, profile, cfg)).
 //
 // Warm-started and pruned batches are result-equivalent to a cold sweep:
 // every solved point carries its own valid gap certificate (warm seeds only
@@ -130,7 +130,14 @@ func RunHILP(ctx context.Context, w rodinia.Workload, specs []soc.Spec, profile 
 // eval (ignored when opts was built by RunHILP), honoring Workers, Obs,
 // OnProgress, and — for canonically identical specs — Cache. WarmStart and
 // Prune require model knowledge and are only active under RunHILP.
-// Points come back in input order, like Sweep.
+// Points come back in input order; failed evaluations carry their error in
+// Point.Err and are skipped by ParetoFront.
+//
+// Cancelling ctx stops the engine dispatching new specs: in-flight
+// evaluations finish (returning their best incumbents — see Evaluator), and
+// every spec never dispatched comes back with Point.Err set to the context
+// error, so completed points are preserved and unevaluated ones are
+// distinguishable.
 func Run(ctx context.Context, specs []soc.Spec, opts BatchOptions, eval Evaluator) BatchResult {
 	if opts.hilp == nil {
 		opts.WarmStart = false
@@ -483,7 +490,7 @@ func (r *batchRun) evalOne(i int, pid string, hint *scheduler.WarmStart) (p Poin
 	pctx = obs.WithRequestID(pctx, pid)
 	defer func() {
 		if rec := recover(); rec != nil {
-			pe := scheduler.NewPanicError("dse.Sweep", rec)
+			pe := scheduler.NewPanicError("dse.Run", rec)
 			r.octx.Counter(obs.MSweepPanics).Inc()
 			r.octx.Log(pctx, slog.LevelError, "sweep: point panicked",
 				"point", i, "spec", r.specs[i].Label(), "error", pe.Error(), "stack", string(pe.Stack))

@@ -46,9 +46,9 @@ func Fig7DesignSpace(opts Options) (*Fig7Result, error) {
 	specs := fig7Space(w, opts, soc.DefaultPowerBudget, soc.DefaultDSAAdvantage)
 
 	out := &Fig7Result{}
-	out.MA = dse.Sweep(context.Background(), specs, opts.Workers, dse.MAEvaluator(w))
-	out.Gables = dse.Sweep(context.Background(), specs, opts.Workers, dse.GablesEvaluator(w, dseProfile(), opts.schedConfig()))
-	out.HILP = dse.Sweep(context.Background(), specs, opts.Workers, dse.HILPEvaluator(w, dseProfile(), opts.schedConfig()))
+	out.MA = dse.Run(context.Background(), specs, dse.BatchOptions{Workers: opts.Workers}, dse.MAEvaluator(w)).Points
+	out.Gables = dse.Run(context.Background(), specs, dse.BatchOptions{Workers: opts.Workers}, dse.GablesEvaluator(w, dseProfile(), opts.schedConfig())).Points
+	out.HILP = dse.Run(context.Background(), specs, dse.BatchOptions{Workers: opts.Workers}, dse.HILPEvaluator(w, dseProfile(), opts.schedConfig())).Points
 	for _, pts := range [][]dse.Point{out.MA, out.Gables, out.HILP} {
 		for _, p := range pts {
 			if p.Err != nil {
@@ -109,7 +109,7 @@ func Fig8aPowerConstrained(opts Options) (*Fig8aResult, error) {
 	}
 	for _, budget := range out.Budgets {
 		specs := fig7Space(w, opts, budget, soc.DefaultDSAAdvantage)
-		pts := dse.Sweep(context.Background(), specs, opts.Workers, dse.HILPEvaluator(w, dseProfile(), opts.schedConfig()))
+		pts := dse.Run(context.Background(), specs, dse.BatchOptions{Workers: opts.Workers}, dse.HILPEvaluator(w, dseProfile(), opts.schedConfig())).Points
 		for i := range pts {
 			// Severely power-capped SoCs whose every unit exceeds the budget
 			// are genuinely infeasible; keep them out of the front but do
@@ -161,7 +161,7 @@ func Fig8bDSAAdvantage(opts Options) (*Fig8bResult, error) {
 	}
 	for _, adv := range out.Advantages {
 		specs := fig7Space(w, opts, soc.DefaultPowerBudget, adv)
-		pts := dse.Sweep(context.Background(), specs, opts.Workers, dse.HILPEvaluator(w, dseProfile(), opts.schedConfig()))
+		pts := dse.Run(context.Background(), specs, dse.BatchOptions{Workers: opts.Workers}, dse.HILPEvaluator(w, dseProfile(), opts.schedConfig())).Points
 		for _, p := range pts {
 			if p.Err != nil {
 				return nil, fmt.Errorf("experiments: fig 8b point %s: %w", p.Label, p.Err)

@@ -1,7 +1,7 @@
 package a
 
-// SweepMarkedWrongFile carries the directive outside legacy.go, where it has
-// no effect: the allowlist cannot leak into live code.
+// SweepMarkedWrongFile carries a directive-style comment, which exempts
+// nothing.
 //
-//lint:legacy
+//lint:ignore ctxfirst
 func SweepMarkedWrongFile() {} // want "exported entry point SweepMarkedWrongFile must take a context.Context as its first parameter"

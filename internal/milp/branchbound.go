@@ -108,7 +108,7 @@ func Solve(ctx context.Context, p *Problem, opts Options) (Solution, error) {
 	totalIters := root.Iters
 	var nodes, pruned int
 	sp := octx.StartSpan("milp-bb").ArgInt("vars", len(p.Vars)).ArgInt("integers", p.NumIntegers())
-	rt := octx.Record("milp-bb")
+	rt := octx.Record(ctx, "milp-bb")
 	defer rt.End()
 	defer func() {
 		octx.Counter(obs.MSimplexPivots).Add(int64(totalIters))

@@ -7,7 +7,7 @@ import (
 )
 
 // BusEvent is one telemetry observation fanned out to Bus subscribers: a
-// flight-recorder event, a span completion, a sweep-point completion, an
+// flight-recorder event, a sweep start or end, a sweep-point completion, an
 // incumbent update, a request summary, or a job status change. The flat
 // shape (no nested maps) keeps publishing allocation-light and the JSON
 // form directly streamable over SSE.
@@ -17,11 +17,12 @@ type BusEvent struct {
 	Seq uint64 `json:"seq"`
 	// TimeUnixNano stamps the publish wall-clock time.
 	TimeUnixNano int64 `json:"timeUnixNano"`
-	// Kind classifies the event: "span", "solver", "stage", "sweep",
-	// "point", "incumbent", "request", "job".
+	// Kind classifies the event: "solver" (the flight recorder's live
+	// mirror, the only source of solver progress), "sweep", "point",
+	// "incumbent", "request", "job".
 	Kind string `json:"kind"`
-	// Name is the kind-specific subject: span name, solver name, sweep-point
-	// label, solver stage, request path.
+	// Name is the kind-specific subject: solver name, sweep-point label,
+	// request path, job status.
 	Name string `json:"name,omitempty"`
 	// Event subdivides "solver" events with the flight-recorder kind
 	// ("incumbent", "bound", "temperature", "restart", "certificate").
@@ -31,7 +32,10 @@ type BusEvent struct {
 	Req string `json:"req,omitempty"`
 	// Job is the async job ID for job-scoped events.
 	Job string `json:"job,omitempty"`
-	// Iter is the solver's progress coordinate for flight-recorder events.
+	// Iter is the solver's progress coordinate for flight-recorder events
+	// (for the "solve" solver, the stage index: 0 bounds, 1 improver or warm
+	// start, 2 justify, 3 destructive LB, 4 exact) and the input index for
+	// point events.
 	Iter int `json:"iter,omitempty"`
 	// Value is the kind-specific observation (incumbent makespan, speedup...).
 	Value float64 `json:"value,omitempty"`
@@ -40,7 +44,7 @@ type BusEvent struct {
 	// Done and Total carry sweep progress.
 	Done  int `json:"done,omitempty"`
 	Total int `json:"total,omitempty"`
-	// DurSec is the duration of completed spans, stages, and requests.
+	// DurSec is the duration of completed sweeps, points, and requests.
 	DurSec float64 `json:"durSec,omitempty"`
 	// Status carries terminal state ("done", "failed", ...) for job events
 	// and degradation markers for point events.

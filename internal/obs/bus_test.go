@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -191,7 +192,7 @@ func TestRecordFansEventsToBus(t *testing.T) {
 	defer bus.Close()
 	octx := &Context{Recorder: NewRecorder(), Bus: bus}
 	s := bus.Subscribe()
-	tr := octx.Record("anneal")
+	tr := octx.Record(WithRequestID(context.Background(), "req-7/p3"), "anneal")
 	tr.Incumbent(10, 42)
 	tr.Certify(42, 40, false)
 	tr.End()
@@ -199,8 +200,11 @@ func TestRecordFansEventsToBus(t *testing.T) {
 	if ev.Kind != "solver" || ev.Name != "anneal" || ev.Event != "incumbent" || ev.Iter != 10 || ev.Value != 42 {
 		t.Errorf("incumbent event = %+v", ev)
 	}
+	if ev.Req != "req-7/p3" {
+		t.Errorf("incumbent event req = %q, want the context's request ID", ev.Req)
+	}
 	cert := <-s.C
-	if cert.Event != "certificate" || cert.Value != 42 {
+	if cert.Event != "certificate" || cert.Value != 42 || cert.Req != "req-7/p3" {
 		t.Errorf("certificate event = %+v", cert)
 	}
 	if wantGap := (42.0 - 40.0) / 42.0; cert.Gap != wantGap {
@@ -218,7 +222,7 @@ func TestRecordBusOnlyWithoutRecorder(t *testing.T) {
 	defer bus.Close()
 	octx := &Context{Bus: bus}
 	s := bus.Subscribe()
-	tr := octx.Record("tabu")
+	tr := octx.Record(context.Background(), "tabu")
 	if !tr.Active() {
 		t.Fatal("bus-only trace should be active")
 	}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -35,10 +36,10 @@ func TestRecorderNilSafe(t *testing.T) {
 	}
 
 	var c *Context
-	if c.Record("x").Active() {
+	if c.Record(context.Background(), "x").Active() {
 		t.Fatal("nil context returned an active trace")
 	}
-	if (&Context{}).Record("x").Active() {
+	if (&Context{}).Record(context.Background(), "x").Active() {
 		t.Fatal("recorder-less context returned an active trace")
 	}
 	if (&Context{}).Recording() {

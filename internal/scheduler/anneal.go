@@ -94,7 +94,7 @@ func anneal(ctx context.Context, p *Problem, cfg AnnealConfig, pf *portfolio, lb
 	octx := cfg.Obs
 	asp := octx.StartSpan("anneal").ArgInt("iterations", cfg.Iterations).ArgInt("restarts", cfg.Restarts)
 	defer asp.End()
-	rt := octx.Record("anneal")
+	rt := octx.Record(ctx, "anneal")
 	defer rt.End()
 	actx := octx.WithSpan(asp)
 	sgsCtr := octx.Counter(obs.MSGSSchedules)

@@ -69,7 +69,7 @@ func SolveExact(ctx context.Context, p *Problem, cfg ExactConfig) ExactResult {
 	options := make([]int, n)
 	nodes := 0
 	limitHit := false
-	rt := cfg.Obs.Record("exact-bb")
+	rt := cfg.Obs.Record(ctx, "exact-bb")
 	var eligible [][2]int // (task, ready) per open node, deepest last
 
 	var dfs func(placed, currentMakespan int)

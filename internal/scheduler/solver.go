@@ -207,28 +207,16 @@ func (pp *Prepared) Solve(ctx context.Context, cfg Config) (res Result, err erro
 	octx.Counter(obs.MSolves).Inc()
 
 	// The solve-level flight-recorder trace tracks incumbent and bound per
-	// stage (0 bounds, 1 improver, 2 justify, 3 destructive LB, 4 exact) and
-	// carries the final gap certificate.
-	rt := octx.Record("solve")
+	// stage (0 bounds, 1 improver or warm start, 2 justify, 3 destructive LB,
+	// 4 exact) and carries the final gap certificate. It is also the only
+	// live source of solver progress: with bus subscribers attached, each
+	// event goes out as a Kind "solver" bus event stamped with ctx's request
+	// ID.
+	rt := octx.Record(ctx, "solve")
 	defer rt.End()
-
-	// Live stage-transition events for bus subscribers (SSE streams, -follow
-	// terminals). Publishing() gates both the event build and the request-ID
-	// lookup, so solves with no live listener skip the work entirely.
-	var reqID string
-	pub := octx.Publishing()
-	if pub {
-		reqID = obs.RequestID(ctx)
-	}
-	stageEv := func(stage string, iter int, value float64) {
-		if pub {
-			octx.Publish(obs.BusEvent{Kind: "stage", Name: stage, Req: reqID, Iter: iter, Value: value})
-		}
-	}
 
 	lb := pp.LowerBound
 	rt.Bound(0, float64(lb))
-	stageEv("bounds", 0, float64(lb))
 
 	// Warm start: repair the donor hint onto this instance. If the repaired
 	// (and justified) schedule already certifies the gap target against the
@@ -254,7 +242,6 @@ func (pp *Prepared) Solve(ctx context.Context, cfg Config) (res Result, err erro
 					wsp.End()
 					octx.Counter(obs.MSweepWarmShortcut).Inc()
 					rt.Incumbent(1, float64(ws.Makespan))
-					stageEv("warmstart", 1, float64(ws.Makespan))
 					proven := ws.Makespan == lb
 					sp.ArgInt("makespan", ws.Makespan).ArgInt("lower_bound", lb).ArgStr("method", "warmstart")
 					rt.Certify(float64(ws.Makespan), float64(lb), proven)
@@ -299,7 +286,6 @@ func (pp *Prepared) Solve(ctx context.Context, cfg Config) (res Result, err erro
 		return Result{}, fmt.Errorf("%w: a task's every option exceeds a resource capacity", ErrInfeasible)
 	}
 	rt.Incumbent(1, float64(best.Makespan))
-	stageEv(method, 1, float64(best.Makespan))
 
 	// Double justification: a cheap pass that never hurts and often shaves
 	// steps off the improved schedule. A schedule at the bound has no steps
@@ -309,7 +295,6 @@ func (pp *Prepared) Solve(ctx context.Context, cfg Config) (res Result, err erro
 			best = j
 			method += "+justify"
 			rt.Incumbent(2, float64(best.Makespan))
-			stageEv("justify", 2, float64(best.Makespan))
 		}
 	}
 
@@ -332,7 +317,6 @@ func (pp *Prepared) Solve(ctx context.Context, cfg Config) (res Result, err erro
 			lb = d
 			proven = best.Makespan == lb
 			rt.Bound(3, float64(lb))
-			stageEv("destructive-lb", 3, float64(lb))
 		}
 		dsp.ArgInt("lower_bound", lb)
 		dsp.End()
@@ -349,7 +333,6 @@ func (pp *Prepared) Solve(ctx context.Context, cfg Config) (res Result, err erro
 				best = ex.Schedule
 				method = "exact"
 				rt.Incumbent(4, float64(best.Makespan))
-				stageEv("exact", 4, float64(best.Makespan))
 			}
 			if ex.Exhausted {
 				proven = true

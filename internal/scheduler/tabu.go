@@ -72,7 +72,7 @@ func tabuSearch(ctx context.Context, p *Problem, cfg TabuConfig, pf *portfolio, 
 	octx := cfg.Obs
 	tsp := octx.StartSpan("tabu").ArgInt("iterations", cfg.Iterations)
 	defer tsp.End()
-	rt := octx.Record("tabu")
+	rt := octx.Record(ctx, "tabu")
 	defer rt.End()
 	tctx := octx.WithSpan(tsp)
 	sgsCtr := octx.Counter(obs.MSGSSchedules)

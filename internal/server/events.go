@@ -24,7 +24,7 @@ func terminalJobStatus(status string) bool {
 }
 
 // handleJobEvents streams a job's live telemetry as Server-Sent Events:
-// per-point completions, incumbent improvements, solver stage transitions,
+// per-point completions, incumbent improvements, flight-recorder solver events,
 // and the job's lifecycle, each one BusEvent rendered as an SSE frame
 // (id: sequence, event: kind, data: JSON). The stream begins with a
 // synthesized "job" snapshot so late subscribers see current progress

@@ -156,6 +156,48 @@ func TestJobEventsStream(t *testing.T) {
 	}
 }
 
+// TestJobEventsCarrySolverProgress checks that solver progress reaches a job
+// stream through the flight recorder's bus mirror alone: "solver" frames
+// stamped with a point ID in the job's "<req>/pN" lineage, and no separate
+// "stage" frames. The terminal job frame still ends the stream.
+func TestJobEventsCarrySolverProgress(t *testing.T) {
+	leakcheck.VerifyNoLeaks(t)
+	_, ts := newTestServer(t, Config{Workers: 1})
+	j := startSweep(t, ts.URL, manyFastSweepBody(t))
+
+	resp, err := http.Get(ts.URL + j.EventsURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	frames := readSSE(t, bufio.NewScanner(resp.Body), 0, nil)
+	if len(frames) == 0 {
+		t.Fatal("no SSE frames before stream end")
+	}
+	last := frames[len(frames)-1]
+	if last.Event != "job" || !terminalJobStatus(last.Data.Status) {
+		t.Fatalf("stream ended with %q (status %q), want the terminal job frame", last.Event, last.Data.Status)
+	}
+	solver := 0
+	for _, f := range frames {
+		switch f.Event {
+		case "stage":
+			t.Errorf("stage frame %+v: solver progress must come from the flight recorder only", f.Data)
+		case "solver":
+			solver++
+			if !strings.HasPrefix(f.Data.Req, j.RequestID+"/p") {
+				t.Errorf("solver frame req %q not in job request %q's point lineage", f.Data.Req, j.RequestID)
+			}
+			if f.Data.Name == "" || f.Data.Event == "" {
+				t.Errorf("solver frame lacks its solver or event name: %+v", f.Data)
+			}
+		}
+	}
+	if solver == 0 {
+		t.Errorf("no solver frames among %d frames", len(frames))
+	}
+}
+
 func TestJobEventsTerminalJobClosesImmediately(t *testing.T) {
 	leakcheck.VerifyNoLeaks(t)
 	s, ts := newTestServer(t, Config{})

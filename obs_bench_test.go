@@ -27,13 +27,14 @@ func benchSpec() hilp.SoC {
 }
 
 func benchEvaluate(b *testing.B, octx *hilp.ObsContext) {
+	ctx := context.Background()
 	w := benchWorkload()
 	spec := benchSpec()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := hilp.SolverConfig{Seed: 1, Effort: 0.25, Restarts: 1, Obs: octx}
-		if _, err := hilp.EvaluateWith(w, spec, hilp.DSEProfile, cfg); err != nil {
+		if _, err := hilp.Solve(ctx, w, spec, hilp.WithProfile(hilp.DSEProfile), hilp.WithSolver(cfg)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -54,8 +55,8 @@ func BenchmarkEvaluateObsFull(b *testing.B) {
 }
 
 // BenchmarkObsNoopCalls measures the raw per-call price of the disabled
-// path (span open/close, counter, gauge, histogram, suppressed legacy and
-// structured logs, and an inert flight-recorder trace).
+// path (span open/close, counter, gauge, histogram, a suppressed structured
+// log, and an inert flight-recorder trace).
 func BenchmarkObsNoopCalls(b *testing.B) {
 	var octx *obs.Context
 	ctx := context.Background()
@@ -65,9 +66,8 @@ func BenchmarkObsNoopCalls(b *testing.B) {
 		octx.Counter(obs.MSolves).Inc()
 		octx.Gauge(obs.MCertifiedGap).Set(0.1)
 		octx.Histogram(obs.MSweepPointSec).Observe(0.5)
-		octx.Logf(2, "suppressed")
 		octx.Log(ctx, slog.LevelDebug, "suppressed", "i", i)
-		tr := octx.Record("solve")
+		tr := octx.Record(ctx, "solve")
 		tr.Incumbent(i, 10)
 		tr.Bound(i, 8)
 		tr.End()
@@ -125,9 +125,8 @@ func BenchmarkObsActiveCalls(b *testing.B) {
 		octx.Counter(obs.MSolves).Inc()
 		octx.Gauge(obs.MCertifiedGap).Set(0.1)
 		octx.Histogram(obs.MSweepPointSec).Observe(0.5)
-		octx.Logf(2, "suppressed")
 		octx.Log(ctx, slog.LevelDebug, "suppressed", "i", i)
-		tr := octx.Record("solve")
+		tr := octx.Record(ctx, "solve")
 		tr.Incumbent(i, 10)
 		tr.Bound(i, 8)
 		tr.End()

@@ -20,22 +20,6 @@ func miniWorkload() hilp.Workload {
 
 var quickProfile = hilp.Profile{InitialStepSec: 10, Horizon: 200, RefineWhileBelow: 0, MaxRefinements: 0}
 
-func TestSolveDefaultsMatchEvaluate(t *testing.T) {
-	w := miniWorkload()
-	spec := hilp.SoC{CPUCores: 2, GPUSMs: 16, GPUFrequenciesMHz: []float64{765}}
-	a, err := hilp.Solve(context.Background(), w, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := hilp.Evaluate(w, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Speedup != b.Speedup || a.MakespanSec != b.MakespanSec {
-		t.Errorf("Solve and its Evaluate wrapper disagree: %+v vs %+v", a, b)
-	}
-}
-
 func TestSolveBaselines(t *testing.T) {
 	w := miniWorkload()
 	spec := hilp.SoC{CPUCores: 2, GPUSMs: 16, GPUFrequenciesMHz: []float64{765}}
